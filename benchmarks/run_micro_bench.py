@@ -266,7 +266,8 @@ def main() -> None:
     parser.add_argument(
         "--sanitize-overhead",
         action="store_true",
-        help="time the e2e workload with the runtime sanitizer off vs on "
+        help="time the process-backend e2e workload with the runtime "
+        "sanitizer off vs on "
         "and print the ratio (documented in docs/analysis.md, not gated; "
         "writes nothing)",
     )
@@ -290,9 +291,12 @@ def main() -> None:
     if args.sanitize_overhead:
         reps = max(1, args.repeats - 1)
         timings = {}
+        # the sanitizer guards the process backend's result ring only, so
+        # the serial backend would time no checks at all
+        base = {"dtype": "float32", "execution_backend": "process"}
         for label, extra in (
-            ("sanitize_off", {"dtype": "float32"}),
-            ("sanitize_on", {"dtype": "float32", "sanitize": True}),
+            ("sanitize_off", base),
+            ("sanitize_on", {**base, "sanitize": True}),
         ):
             samples = [e2e(here, args.rounds, extra) for _ in range(reps)]
             timings[label] = statistics.median(s["seconds"] for s in samples)
@@ -305,18 +309,7 @@ def main() -> None:
     if args.profile:
         out = {
             label: profile(here, args.rounds, extra)
-            for label, extra in (
-                ("serial_float32", {"dtype": "float32"}),
-                (
-                    "batched_thread_float32",
-                    {
-                        "dtype": "float32",
-                        "execution_backend": "thread",
-                        "backend_workers": 1,
-                        "batch_replicas": 10,
-                    },
-                ),
-            )
+            for label, extra in (("serial_float32", {"dtype": "float32"}),)
         }
         print(json.dumps(out, indent=2))
         return
@@ -345,39 +338,12 @@ def main() -> None:
     combos = [
         ("serial_float64", {"execution_backend": "serial", "dtype": "float64"}),
         ("serial_float32", {"execution_backend": "serial", "dtype": "float32"}),
-        # half-precision storage (GEMMs widen to float32 internally; numpy
-        # has no half BLAS, so this is a bytes/tolerance mode, not a fast one)
-        ("serial_float16", {"execution_backend": "serial", "dtype": "float16"}),
         ("process_float32", {"execution_backend": "process", "dtype": "float32"}),
-        # batched replica training: grouped clients share one vectorized
-        # model with a leading replica axis (RunConfig.batch_replicas)
-        (
-            "batched_thread_float32",
-            {
-                "execution_backend": "thread",
-                "backend_workers": 1,
-                "batch_replicas": 10,
-                "dtype": "float32",
-            },
-        ),
         # async/buffered scheduler (one round == one 5-arrival flush)
         (
             "async_serial_float32",
             {
                 "execution_backend": "serial",
-                "dtype": "float32",
-                "scheduler": "async",
-                "async_buffer_size": 5,
-            },
-        ),
-        # async dispatch + batched replicas: the fastest combo on this
-        # workload (fewer client-rounds per flush, vectorized training)
-        (
-            "async_batched_float32",
-            {
-                "execution_backend": "thread",
-                "backend_workers": 1,
-                "batch_replicas": 5,
                 "dtype": "float32",
                 "scheduler": "async",
                 "async_buffer_size": 5,

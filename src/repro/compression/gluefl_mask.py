@@ -39,7 +39,6 @@ from repro.compression.base import (
 )
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
 from repro.compression.topk import ratio_to_k, select_top_k, top_k_indices
-from repro.runtime.arena import scratch_zeros
 from repro.network.encoding import bitmap_bytes, sparse_bytes, values_bytes
 
 __all__ = ["GlueFLMaskStrategy"]
@@ -191,19 +190,13 @@ class GlueFLMaskStrategy(CompressionStrategy):
         else:
             # Eq. 5: aggregation on the shared mask.  The server knows the
             # mask positions, so the weighted sum runs on contiguous
-            # length-|M| vectors; nothing dense is materialized per
-            # payload.  Both accumulators die inside this call, so they
-            # draw from the active scratch arena (plain allocations when
-            # none is bound).
-            shr_acc = scratch_zeros((len(mask),), self.dtype)
+            # length-|M| vectors; nothing dense is materialized per payload.
+            shr_acc = np.zeros((len(mask),), dtype=self.dtype)
             for _, weight, payload in payloads:
                 shr_acc += weight * payload.data["shr_vals"]
 
             # Eq. 6: top-(q - q_shr) of the aggregated unique parts
-            uni_acc = weighted_dense_sum(
-                payloads, self.d, dtype=self.dtype,
-                out=scratch_zeros((self.d,), self.dtype),
-            )
+            uni_acc = weighted_dense_sum(payloads, self.d, dtype=self.dtype)
             keep = top_k_indices(uni_acc, self._k_unique())
         # global_delta is built fresh — it must not alias the shared-mask
         # accumulator (mask and keep are disjoint, but end_round and

@@ -17,11 +17,25 @@ import numpy as np
 
 __all__ = ["uniform_quantize", "stochastic_quantize", "quantized_values_bytes"]
 
+#: Fewest bits a symmetric quantizer can bill honestly: its levels
+#: ``{-L..L}·s/L`` always include 0, so ``bits=1`` (``L = 1``) would emit
+#: the ternary set ``{-s, 0, +s}`` — log2(3) bits per value — while
+#: billing one.
+MIN_BITS = 2
+
+
+def _check_bits(bits: int, max_bits: int = 32) -> None:
+    if bits < MIN_BITS or bits > max_bits:
+        raise ValueError(
+            f"bits must be in [{MIN_BITS}, {max_bits}], got {bits} "
+            "(bits=1 would emit the ternary level set {-s, 0, +s} but bill "
+            "1 bit per value)"
+        )
+
 
 def quantized_values_bytes(k: int, bits: int) -> int:
     """Wire size of ``k`` values quantized to ``bits`` each plus one scale."""
-    if bits <= 0 or bits > 32:
-        raise ValueError(f"bits must be in [1, 32], got {bits}")
+    _check_bits(bits)
     if k == 0:
         return 0
     return math.ceil(k * bits / 8) + 4  # + float32 scale
@@ -34,15 +48,14 @@ def uniform_quantize(
 
     Returns the dequantized values and their wire size.
     """
-    if bits <= 0 or bits > 32:
-        raise ValueError(f"bits must be in [1, 32], got {bits}")
+    _check_bits(bits)
     k = len(values)
     if k == 0:
         return values.copy(), 0
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return np.zeros_like(values), quantized_values_bytes(k, bits)
-    levels = 2 ** (bits - 1) - 1 if bits > 1 else 1
+    levels = 2 ** (bits - 1) - 1
     q = np.round(values / scale * levels)
     deq = q / levels * scale
     return deq, quantized_values_bytes(k, bits)
@@ -57,8 +70,7 @@ def stochastic_quantize(
     probability proportional to its position between them, so
     ``E[deq] = values`` — the property that keeps SGD convergence intact.
     """
-    if bits <= 0 or bits > 32:
-        raise ValueError(f"bits must be in [1, 32], got {bits}")
+    _check_bits(bits)
     gen = rng if rng is not None else np.random.default_rng(0)
     k = len(values)
     if k == 0:
@@ -66,7 +78,7 @@ def stochastic_quantize(
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return np.zeros_like(values), quantized_values_bytes(k, bits)
-    levels = 2 ** (bits - 1) - 1 if bits > 1 else 1
+    levels = 2 ** (bits - 1) - 1
     scaled = values / scale * levels
     floor = np.floor(scaled)
     frac = scaled - floor

@@ -25,7 +25,7 @@ from repro.compression.base import (
     ClientPayload,
     CompressionStrategy,
 )
-from repro.compression.quantize import quantized_values_bytes, stochastic_quantize
+from repro.compression.quantize import _check_bits, stochastic_quantize
 from repro.network.encoding import BYTES_PER_VALUE
 
 __all__ = ["QuantizedStrategy"]
@@ -36,8 +36,7 @@ class QuantizedStrategy(CompressionStrategy):
 
     def __init__(self, inner: CompressionStrategy, bits: int = 8):
         super().__init__()
-        if bits <= 0 or bits >= 32:
-            raise ValueError(f"bits must be in [1, 32), got {bits}")
+        _check_bits(bits, max_bits=31)
         self.inner = inner
         self.bits = bits
         self.name = f"{inner.name}+q{bits}"

@@ -17,7 +17,6 @@ context is the round's scratchpad.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from typing import List, Tuple
 
 import numpy as np
@@ -157,18 +156,14 @@ def compress_results(server, results, weights):
     buffer_deltas: List[np.ndarray] = []
     losses: List[float] = []
     up_bytes_total = 0
-    # server-side scratch: per-client top-k magnitude buffers are recycled
-    # across the loop (payload arrays themselves are always fresh)
-    scope = getattr(server, "scratch_scope", nullcontext)
-    with scope():
-        for result, weight in zip(results, weights):
-            payload = server.strategy.client_compress(
-                result.client_id, result.delta, float(weight)
-            )
-            payloads.append((result.client_id, float(weight), payload))
-            buffer_deltas.append(result.buffer_delta)
-            up_bytes_total += payload.upstream_bytes
-            losses.append(result.mean_loss)
+    for result, weight in zip(results, weights):
+        payload = server.strategy.client_compress(
+            result.client_id, result.delta, float(weight)
+        )
+        payloads.append((result.client_id, float(weight), payload))
+        buffer_deltas.append(result.buffer_delta)
+        up_bytes_total += payload.upstream_bytes
+        losses.append(result.mean_loss)
     if server.config.count_buffer_sync and server.view.num_buffer:
         up_bytes_total += dense_bytes(server.view.num_buffer) * len(payloads)
     feed_update_norms(server, results)
@@ -182,18 +177,9 @@ def apply_aggregate(server, payloads, buffer_deltas):
     references to the pre-update arrays as their dispatch-time snapshots —
     and the new arrays are marked read-only to enforce that invariant.
     """
-    scope = getattr(server, "scratch_scope", nullcontext)
-    with scope():
-        # the strategy's dense accumulators draw from the server arena;
-        # agg's own arrays (global_delta, changed_idx) are fresh and
-        # outlive the scope
-        agg = server.strategy.aggregate(payloads)
+    agg = server.strategy.aggregate(payloads)
     sharding = getattr(server, "sharding", None)
     params = apply_update(server.global_params, agg.global_delta, sharding)
-    if params.dtype != server.global_params.dtype:
-        # half-precision run: the delta was accumulated in float32 —
-        # round back to the run dtype once, after the add
-        params = params.astype(server.global_params.dtype)
     params.flags.writeable = False
     server.global_params = params
     if server.view.num_buffer and buffer_deltas:

@@ -128,19 +128,11 @@ def staleness_discounted_weights(
 
 
 def aggregate_buffer_deltas(buffer_deltas: Sequence[np.ndarray]) -> np.ndarray:
-    """Appendix D: unweighted mean of non-trainable (BN statistic) deltas.
-
-    Half-precision runs accumulate in float32 (K small terms summed in a
-    2-byte float would lose whole contributions to rounding) and round the
-    mean back to the delta dtype once; float32/float64 runs accumulate in
-    their own dtype, bit-identical to the seed.
-    """
+    """Appendix D: unweighted mean of non-trainable (BN statistic) deltas,
+    accumulated in the delta dtype."""
     if not buffer_deltas:
         raise ValueError("no buffer deltas to aggregate")
-    dt = buffer_deltas[0].dtype
-    acc_dt = np.dtype(np.float32) if dt.itemsize <= 2 else dt
-    acc = np.zeros(buffer_deltas[0].shape, dtype=acc_dt)
+    acc = np.zeros(buffer_deltas[0].shape, dtype=buffer_deltas[0].dtype)
     for delta in buffer_deltas:
         acc += delta
-    mean = acc / len(buffer_deltas)
-    return mean.astype(dt) if acc_dt != dt else mean
+    return acc / len(buffer_deltas)

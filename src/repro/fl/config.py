@@ -178,27 +178,14 @@ class RunConfig:
     # runtime policy (repro.runtime)
     execution_backend: str = "serial"  # "serial" | "thread" | "process"
     backend_workers: Optional[int] = None
-    #: "float64" | "float32" | "float16" | "bfloat16" (bfloat16 needs the
-    #: optional ml_dtypes package).  Half-precision runs keep aggregation
-    #: and loss accumulation in float32 (see repro.runtime.dtype)
-    dtype: str = "float64"
-    #: recycle per-step training scratch (im2col, norm/pool temporaries,
-    #: optimizer updates) through per-trainer buffer arenas; bit-identical
-    #: to allocation-per-step, so it defaults on
-    use_arena: bool = True
-    #: runtime sanitizer (see :mod:`repro.runtime.sanitize`): tag arena
-    #: buffers with owner-thread/epoch metadata and the process backend's
-    #: result-ring slots with claim/release epochs, and raise
-    #: ``SanitizerError`` on cross-thread scratch touches, use of scratch
-    #: across an arena ``reset()``, or slot reuse while a result is in
-    #: flight.  Debugging aid with measurable overhead, so it defaults
-    #: off; ``REPRO_SANITIZE=1`` in the environment also enables it
+    dtype: str = "float64"  # "float64" | "float32"
+    #: runtime sanitizer (see :mod:`repro.runtime.sanitize`): tag the
+    #: process backend's result-ring slots with claim/release epochs and
+    #: raise ``SanitizerError`` on a double slot claim or on a result
+    #: touched after the ring was reclaimed.  Debugging aid with
+    #: measurable overhead, so it defaults off; ``REPRO_SANITIZE=1`` in
+    #: the environment also enables it
     sanitize: bool = False
-    #: thread backend only: train this many clients' mini-batches through
-    #: one vectorized replica with a leading replica axis (see
-    #: repro.runtime.batched).  None disables (the default); changes
-    #: floating-point op order, so it is off for golden-pinned runs
-    batch_replicas: Optional[int] = None
 
     # sharded server state (repro.sharding)
     #: partition the server hot path into this many contiguous
@@ -400,7 +387,6 @@ class RunConfig:
             raise ValueError("seed must be an int")
         for flag in (
             "always_available",
-            "use_arena",
             "sanitize",
             "shard_mmap",
             "skip_empty_rounds",
@@ -428,15 +414,6 @@ class RunConfig:
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; expected {DTYPE_NAMES}"
             )
-        if self.batch_replicas is not None:
-            if self.batch_replicas <= 0:
-                raise ValueError("batch_replicas must be positive (or None)")
-            if self.execution_backend != "thread":
-                raise ValueError(
-                    "batch_replicas vectorizes replicas inside one process; "
-                    "it requires execution_backend='thread' (got "
-                    f"{self.execution_backend!r})"
-                )
         if self.shard_count is not None and self.shard_count <= 0:
             raise ValueError("shard_count must be positive (or None)")
         if self.shard_backend not in SHARD_BACKENDS:
@@ -455,21 +432,6 @@ class RunConfig:
                     f"{', '.join(stale_shard)} only applies to the sharded "
                     "server path; with shard_count unset it would be "
                     "silently ignored — set shard_count (or unset it)"
-                )
-        if self.dtype in ("float16", "bfloat16"):
-            if self.privacy_mode == "gaussian":
-                raise ValueError(
-                    "privacy_mode='gaussian' is incompatible with "
-                    f"dtype={self.dtype!r}: calibrated noise and the RDP "
-                    "accountant assume the mechanism's arithmetic is not "
-                    "dominated by quantization error — run the private "
-                    "path in float32 or float64"
-                )
-            if self.batch_replicas is not None:
-                raise ValueError(
-                    "batch_replicas accumulates many replicas' GEMMs in the "
-                    f"run dtype; {self.dtype!r} loses too much precision "
-                    "there — combine batched replicas with float32/float64"
                 )
         if self.scheduler not in SCHEDULERS:
             raise ValueError(

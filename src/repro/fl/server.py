@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 from typing import Tuple
 
 import numpy as np
@@ -47,9 +46,8 @@ from repro.network.profiles import get_profile
 from repro.network.transfer import ClientLinks
 from repro.nn.flat import FlatParamView
 from repro.nn.models import build_model
-from repro.runtime.arena import BufferArena, activate
 from repro.runtime.backends import WorkerSpec, create_backend
-from repro.runtime.dtype import accumulation_dtype, resolve_dtype
+from repro.runtime.dtype import resolve_dtype
 from repro.traces.availability import AvailabilityTrace, always_available
 from repro.traces.compute import ComputeTrace
 from repro.utils.logging import RunLogger
@@ -92,12 +90,7 @@ class FLServer:
         self.strategy = config.strategy
         if config.privacy_mode != "off":
             self.strategy = self._privatize_strategy(config)
-        # strategies accumulate dense sums in the accumulation dtype —
-        # identical to the run dtype except for half-precision runs, whose
-        # aggregation is pinned to float32 (see repro.runtime.dtype)
-        self.strategy.setup(
-            self.d, self.rngs("strategy"), dtype=accumulation_dtype(self.dtype)
-        )
+        self.strategy.setup(self.d, self.rngs("strategy"), dtype=self.dtype)
         # sharded server hot path (repro.sharding): bind a runtime so the
         # strategy's aggregation sums and top-k selections run shard-by-
         # shard — bit-identical to the unsharded path, so goldens hold
@@ -185,13 +178,7 @@ class FLServer:
             batch_size=config.batch_size,
             momentum=config.momentum,
             weight_decay=config.weight_decay,
-            use_arena=config.use_arena,
-            sanitize=True if config.sanitize else None,
         )
-        # server-side scratch pool for the compression/aggregation hot path
-        # (top-k magnitude buffers, dense accumulators); round-scoped via
-        # scratch_scope()
-        self.scratch_arena = BufferArena() if config.use_arena else None
         self._worker_spec = WorkerSpec(
             model_name=config.model_name,
             model_kwargs=dict(config.model_kwargs),
@@ -207,7 +194,6 @@ class FLServer:
             dtype=config.dtype,
             d=self.d,
             num_buffer=self.view.num_buffer,
-            use_arena=config.use_arena,
             sanitize=config.sanitize,
             # sizes the process backend's zero-copy result rings: the most
             # results a scheduler can ask for before draining them
@@ -215,7 +201,6 @@ class FLServer:
                 int(math.ceil(config.overcommit * config.sampler.k)),
                 config.async_concurrency or 0,
             ),
-            batch_replicas=config.batch_replicas or 0,
         )
         self._backend = None
         self.lr_schedule = config.lr_schedule()
@@ -283,26 +268,6 @@ class FLServer:
                 privatize(config.strategy.inner), bits=config.strategy.bits
             )
         return privatize(config.strategy)
-
-    # -- scratch ---------------------------------------------------------------
-    @contextmanager
-    def scratch_scope(self):
-        """Round-scoped server-side scratch arena.
-
-        The compression/aggregation helpers wrap their hot loops in this
-        scope so per-client magnitude buffers and dense accumulators are
-        recycled across clients and rounds.  Everything taken inside the
-        scope is reclaimed on exit — only arrays that never escape the
-        scope may come from scratch.  No-op when ``use_arena`` is off.
-        """
-        if self.scratch_arena is None:
-            yield None
-            return
-        with activate(self.scratch_arena):
-            try:
-                yield self.scratch_arena
-            finally:
-                self.scratch_arena.reset()
 
     # -- weights ---------------------------------------------------------------
     def _weights_for(

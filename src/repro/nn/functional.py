@@ -3,11 +3,6 @@
 Everything here is vectorized numpy; the only Python loops are over kernel
 taps (``kh * kw`` iterations) in :func:`col2im`, per the scikit-learn
 performance guidance of pushing work into array primitives.
-
-Scratch buffers (the padded input, the col2im accumulator) come from the
-active :mod:`~repro.runtime.arena` when a trainer has one bound, so the
-per-step temporaries of the conv/pool hot loop are recycled instead of
-reallocated; with no arena active the helpers allocate as before.
 """
 
 from __future__ import annotations
@@ -16,44 +11,15 @@ from typing import Tuple
 
 import numpy as np
 
-# repro: allow-file[arena-escape] -- intra-step handoff by design: scratch
-# returned (activations/grads) or cached for backward here is consumed within
-# the same local step and is dead before the trainer's per-step
-# BufferArena.reset(); nothing crosses a reset epoch (pinned by
-# tests/runtime/test_arena.py).
-
-from repro.runtime.arena import scratch_zeros
-
 __all__ = [
     "conv_out_size",
     "im2col",
     "pad_nchw",
     "col2im",
-    "matmul_widened",
     "softmax",
     "log_softmax",
     "one_hot",
 ]
-
-
-def matmul_widened(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """``np.matmul`` that upcasts 2-byte operands to float32 for the GEMM.
-
-    NumPy has no half-precision BLAS kernels: a float16 matmul falls back to
-    a software loop that is orders of magnitude slower than the float32 path.
-    For 2-byte dtypes this helper computes the product in float32 (BLAS) and
-    rounds the result back, which also means products accumulate in float32
-    — consistent with the accumulation policy everywhere else in the dtype
-    story (see :mod:`repro.runtime.dtype`).  float32/float64 operands pass
-    straight through to ``np.matmul``, bit-identically.
-    """
-    if np.result_type(a, b).itemsize > 2:
-        return np.matmul(a, b, out=out) if out is not None else np.matmul(a, b)
-    wide = np.matmul(a.astype(np.float32), b.astype(np.float32))
-    if out is not None:
-        np.copyto(out, wide)
-        return out
-    return wide.astype(np.result_type(a, b))
 
 
 def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -70,14 +36,13 @@ def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
 def pad_nchw(x: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the two spatial axes of an NCHW tensor.
 
-    Equivalent to ``np.pad(x, ((0,0),(0,0),(pad,pad),(pad,pad)))`` but the
-    output buffer comes from the active scratch arena, so the per-step
-    padded copy in the conv hot loop is recycled across steps.
+    Equivalent to ``np.pad(x, ((0,0),(0,0),(pad,pad),(pad,pad)))`` with a
+    single zero-fill and one slice copy.
     """
     if pad <= 0:
         return x
     n, c, h, w = x.shape
-    out = scratch_zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     out[:, :, pad : pad + h, pad : pad + w] = x
     return out
 
@@ -135,7 +100,7 @@ def col2im(
     hp, wp = h + 2 * pad, w + 2 * pad
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    x = scratch_zeros((n, c, hp, wp), cols.dtype)
+    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (

@@ -6,14 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-# repro: allow-file[arena-escape] -- intra-step handoff by design: scratch
-# returned (activations/grads) or cached for backward here is consumed within
-# the same local step and is dead before the trainer's per-step
-# BufferArena.reset(); nothing crosses a reset epoch (pinned by
-# tests/runtime/test_arena.py).
-
 from repro.nn.module import Module
-from repro.runtime.arena import scratch_empty
 
 __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
@@ -32,17 +25,17 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = scratch_empty(x.shape, bool)
+        mask = np.empty(x.shape, dtype=bool)
         np.greater(x, 0, out=mask)
         self._mask = mask
-        out = scratch_empty(x.shape, x.dtype)
+        out = np.empty(x.shape, dtype=x.dtype)
         np.maximum(x, 0.0, out=out)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        g = scratch_empty(grad_out.shape, grad_out.dtype)
+        g = np.empty(grad_out.shape, dtype=grad_out.dtype)
         np.multiply(grad_out, self._mask, out=g)
         return g
 

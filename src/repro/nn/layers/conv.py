@@ -18,15 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-# repro: allow-file[arena-escape] -- intra-step handoff by design: scratch
-# returned (activations/grads) or cached for backward here is consumed within
-# the same local step and is dead before the trainer's per-step
-# BufferArena.reset(); nothing crosses a reset epoch (pinned by
-# tests/runtime/test_arena.py).
-
-from repro.nn.functional import col2im, conv_out_size, im2col, matmul_widened
+from repro.nn.functional import col2im, conv_out_size, im2col
 from repro.nn.module import Module, Parameter, kaiming_init
-from repro.runtime.arena import scratch_empty
 
 __all__ = ["Conv2d"]
 
@@ -97,18 +90,18 @@ class Conv2d(Module):
         k, s, p, g = self.kernel_size, self.stride, self.padding, self.groups
         oh = conv_out_size(h, k, s, p)
         ow = conv_out_size(w, k, s, p)
-        # materialize the window view once into arena scratch; every
+        # materialize the window view once into a dense buffer; every
         # contraction below is BLAS
-        cols = scratch_empty((n, c, k, k, oh, ow), x.dtype)
+        cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
         np.copyto(cols, im2col(x, k, k, s, p))
         cols = cols.reshape(n, g, (c // g) * k * k, oh * ow)
         self._cols = cols
         self._x_shape = (n, c, h, w)
         # (G, OC/G, CG·k·k) @ (N, G, CG·k·k, L) -> (N, G, OC/G, L)
-        out = scratch_empty(
-            (n, g, self.out_channels // g, oh * ow), x.dtype
+        out = np.empty(
+            (n, g, self.out_channels // g, oh * ow), dtype=x.dtype
         )
-        matmul_widened(self._grouped_weight(), cols, out=out)
+        np.matmul(self._grouped_weight(), cols, out=out)
         out = out.reshape(n, self.out_channels, oh, ow)
         if self.bias is not None:
             out += self.bias.data[None, :, None, None]
@@ -124,26 +117,23 @@ class Conv2d(Module):
         if grad_out.flags.c_contiguous:
             ggrad = grad_out.reshape(n, g, self.out_channels // g, oh * ow)
         else:
-            ggrad = scratch_empty(
-                (n, g, self.out_channels // g, oh * ow), grad_out.dtype
+            ggrad = np.empty(
+                (n, g, self.out_channels // g, oh * ow), dtype=grad_out.dtype
             )
             np.copyto(ggrad.reshape(grad_out.shape), grad_out)
 
         # dW[g,o,m] = Σ_n ggrad[n,g,o,:] · cols[n,g,m,:]
         m = (c // g) * k * k
-        dw_n = scratch_empty((n, g, self.out_channels // g, m), grad_out.dtype)
-        matmul_widened(ggrad, cols.swapaxes(-1, -2), out=dw_n)
+        dw_n = np.empty((n, g, self.out_channels // g, m), dtype=grad_out.dtype)
+        np.matmul(ggrad, cols.swapaxes(-1, -2), out=dw_n)
         dw = dw_n.sum(axis=0)
         self.weight.grad += dw.reshape(self.weight.data.shape)
         if self.bias is not None:
-            # float32 accumulation for 2-byte dtypes; native otherwise
-            dt = grad_out.dtype
-            acc_dt = np.dtype(np.float32) if dt.itemsize <= 2 else dt
-            self.bias.grad += grad_out.sum(axis=(0, 2, 3), dtype=acc_dt)
+            self.bias.grad += grad_out.sum(axis=(0, 2, 3))
 
         # dcols = Wᵀ @ ggrad, broadcast over the (N, G) batch axes
-        dcols = scratch_empty((n, g, m, oh * ow), grad_out.dtype)
-        matmul_widened(
+        dcols = np.empty((n, g, m, oh * ow), dtype=grad_out.dtype)
+        np.matmul(
             self._grouped_weight().swapaxes(-1, -2), ggrad, out=dcols
         )
         dcols = dcols.reshape(n, c, k, k, oh, ow)

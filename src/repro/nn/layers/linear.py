@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.functional import matmul_widened
 from repro.nn.module import Module, Parameter, kaiming_init
 
 __all__ = ["Linear"]
@@ -48,7 +47,7 @@ class Linear(Module):
                 f"Linear expects (N, {self.in_features}), got {x.shape}"
             )
         self._x = x
-        out = matmul_widened(x, self.weight.data.T)
+        out = np.matmul(x, self.weight.data.T)
         if self.bias is not None:
             out += self.bias.data
         return out
@@ -56,10 +55,7 @@ class Linear(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.weight.grad += matmul_widened(grad_out.T, self._x)
+        self.weight.grad += np.matmul(grad_out.T, self._x)
         if self.bias is not None:
-            # float32 accumulation for 2-byte dtypes; native otherwise
-            dt = grad_out.dtype
-            acc_dt = np.dtype(np.float32) if dt.itemsize <= 2 else dt
-            self.bias.grad += grad_out.sum(axis=0, dtype=acc_dt)
-        return matmul_widened(grad_out, self.weight.data)
+            self.bias.grad += grad_out.sum(axis=0)
+        return np.matmul(grad_out, self.weight.data)

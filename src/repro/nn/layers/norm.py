@@ -12,14 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-# repro: allow-file[arena-escape] -- intra-step handoff by design: scratch
-# returned (activations/grads) or cached for backward here is consumed within
-# the same local step and is dead before the trainer's per-step
-# BufferArena.reset(); nothing crosses a reset epoch (pinned by
-# tests/runtime/test_arena.py).
-
 from repro.nn.module import Buffer, Module, Parameter
-from repro.runtime.arena import scratch_empty
 
 __all__ = ["BatchNorm1d", "BatchNorm2d"]
 
@@ -60,26 +53,11 @@ class _BatchNormBase(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape_check(x)
         nd = x.ndim
-        # 2-byte dtypes: NumPy's half-precision ufuncs run a per-element
-        # software conversion loop, so normalize in a float32 image of the
-        # input and round the output back — one cast in, one cast out.  The
-        # cached x_hat stays float32, which backward reuses directly.  The
-        # float32/float64 branch below is untouched (bit-identical).
-        if x.dtype.itemsize <= 2:
-            xw = scratch_empty(x.shape, np.float32)
-            np.copyto(xw, x)
-            wide = self._forward_impl(xw, nd)
-            out = scratch_empty(x.shape, x.dtype)
-            np.copyto(out, wide)
-            return out
-        return self._forward_impl(x, nd)
-
-    def _forward_impl(self, x: np.ndarray, nd: int) -> np.ndarray:
         if self.training:
             # single-pass moments: reuse the centered activations for the
             # variance instead of letting x.var() re-center internally
             mean = x.mean(axis=self._axes)
-            centered = scratch_empty(x.shape, x.dtype)
+            centered = np.empty(x.shape, dtype=x.dtype)
             np.subtract(x, self._expand(mean, nd), out=centered)
             var = np.mean(np.square(centered), axis=self._axes)
             m = self.momentum
@@ -94,12 +72,12 @@ class _BatchNormBase(Module):
         else:
             mean = self.running_mean.data
             var = self.running_var.data
-            centered = scratch_empty(x.shape, x.dtype)
+            centered = np.empty(x.shape, dtype=x.dtype)
             np.subtract(x, self._expand(mean, nd), out=centered)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = centered  # owned: normalize in place instead of allocating
         x_hat *= self._expand(inv_std, nd)
-        out = scratch_empty(x.shape, x.dtype)
+        out = np.empty(x.shape, dtype=x.dtype)
         np.multiply(self._expand(self.weight.data, nd), x_hat, out=out)
         out += self._expand(self.bias.data, nd)
         if self.training:
@@ -113,39 +91,22 @@ class _BatchNormBase(Module):
             raise RuntimeError(
                 "BatchNorm backward requires a preceding training-mode forward"
             )
-        # mirror of forward's 2-byte widening: lift the incoming gradient to
-        # float32 (the cached x_hat already is), compute, round dx back
-        if grad_out.dtype.itemsize <= 2:
-            gw = scratch_empty(grad_out.shape, np.float32)
-            np.copyto(gw, grad_out)
-            wide = self._backward_impl(gw)
-            dx = scratch_empty(grad_out.shape, grad_out.dtype)
-            np.copyto(dx, wide)
-            return dx
-        return self._backward_impl(grad_out)
-
-    def _backward_impl(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat, inv_std = self._cache
         nd = grad_out.ndim
         count = int(np.prod([grad_out.shape[a] for a in self._axes]))
-        # half-precision runs accumulate the batch reductions in float32
-        # (see repro.runtime.dtype); float32/float64 accumulate natively,
-        # which keeps those paths bit-identical
-        dt = grad_out.dtype
-        acc_dt = np.dtype(np.float32) if dt.itemsize <= 2 else dt
 
         # products go through one reused scratch plane instead of fresh
         # allocations; the values and reduction order are unchanged
-        tmp = scratch_empty(grad_out.shape, grad_out.dtype)
+        tmp = np.empty(grad_out.shape, dtype=grad_out.dtype)
         np.multiply(grad_out, x_hat, out=tmp)
-        self.weight.grad += tmp.sum(axis=self._axes, dtype=acc_dt)
-        self.bias.grad += grad_out.sum(axis=self._axes, dtype=acc_dt)
+        self.weight.grad += tmp.sum(axis=self._axes)
+        self.bias.grad += grad_out.sum(axis=self._axes)
 
-        g = scratch_empty(grad_out.shape, grad_out.dtype)
+        g = np.empty(grad_out.shape, dtype=grad_out.dtype)
         np.multiply(grad_out, self._expand(self.weight.data, nd), out=g)
-        sum_g = g.sum(axis=self._axes, keepdims=True, dtype=acc_dt)
+        sum_g = g.sum(axis=self._axes, keepdims=True)
         np.multiply(g, x_hat, out=tmp)
-        sum_gx = tmp.sum(axis=self._axes, keepdims=True, dtype=acc_dt)
+        sum_gx = tmp.sum(axis=self._axes, keepdims=True)
         # g is fresh — finish the input gradient in place
         g -= sum_g / count
         np.multiply(x_hat, sum_gx / count, out=tmp)

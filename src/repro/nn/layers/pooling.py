@@ -6,15 +6,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-# repro: allow-file[arena-escape] -- intra-step handoff by design: scratch
-# returned (activations/grads) or cached for backward here is consumed within
-# the same local step and is dead before the trainer's per-step
-# BufferArena.reset(); nothing crosses a reset epoch (pinned by
-# tests/runtime/test_arena.py).
-
 from repro.nn.functional import col2im, conv_out_size, im2col
 from repro.nn.module import Module
-from repro.runtime.arena import scratch_empty, scratch_zeros
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
@@ -49,10 +42,8 @@ class MaxPool2d(Module):
             # running max straight over the strided tap views: no argmax
             # bookkeeping and no window copy in the forward — backward
             # re-identifies the winning tap from the cached input/output
-            # (arena buffers stay exclusive until the post-step reset, so
-            # both references are stable across the fw/bw pair)
             v = x.reshape(n, c, oh, k, ow, k)
-            out = scratch_empty((n, c, oh, ow), x.dtype)
+            out = np.empty((n, c, oh, ow), dtype=x.dtype)
             np.copyto(out, v[:, :, :, 0, :, 0])
             for t in range(1, k * k):
                 np.maximum(out, v[:, :, :, t // k, :, t % k], out=out)
@@ -84,10 +75,10 @@ class MaxPool2d(Module):
             # taps get exact zeros)
             x, out = cached
             v = x.reshape(n, c, oh, k, ow, k)
-            dx = scratch_empty((n, c, oh, k, ow, k), grad_out.dtype)
-            sel = scratch_empty((n, c, oh, ow), bool)
-            done = scratch_zeros((n, c, oh, ow), bool)
-            fresh = scratch_empty((n, c, oh, ow), bool)
+            dx = np.empty((n, c, oh, k, ow, k), dtype=grad_out.dtype)
+            sel = np.empty((n, c, oh, ow), dtype=bool)
+            done = np.zeros((n, c, oh, ow), dtype=bool)
+            fresh = np.empty((n, c, oh, ow), dtype=bool)
             for t in range(k * k):
                 i, j = divmod(t, k)
                 np.equal(v[:, :, :, i, :, j], out, out=sel)
@@ -97,8 +88,8 @@ class MaxPool2d(Module):
                 if t < k * k - 1:
                     np.logical_or(done, sel, out=done)
             return dx.reshape(n, c, h, w)
-        dcols = scratch_empty((n, c, k * k, oh, ow), grad_out.dtype)
-        sel = scratch_empty((n, c, oh, ow), bool)
+        dcols = np.empty((n, c, k * k, oh, ow), dtype=grad_out.dtype)
+        sel = np.empty((n, c, oh, ow), dtype=bool)
         for j in range(k * k):
             np.equal(argmax, j, out=sel)
             np.multiply(grad_out, sel, out=dcols[:, :, j])
@@ -132,7 +123,9 @@ class AvgPool2d(Module):
         x_shape, oh, ow = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
         scale = 1.0 / (k * k)
-        dcols = scratch_empty((x_shape[0], x_shape[1], k, k, oh, ow), grad_out.dtype)
+        dcols = np.empty(
+            (x_shape[0], x_shape[1], k, k, oh, ow), dtype=grad_out.dtype
+        )
         # broadcasting copy materializes grad/k² once per tap, same values as
         # the broadcast_to + ascontiguousarray it replaces
         np.copyto(dcols, (grad_out * scale)[:, :, None, None, :, :])
@@ -155,6 +148,6 @@ class GlobalAvgPool2d(Module):
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._shape
         g = grad_out[:, :, None, None] / (h * w)
-        dx = scratch_empty((n, c, h, w), g.dtype)
+        dx = np.empty((n, c, h, w), dtype=g.dtype)
         np.copyto(dx, g)
         return dx

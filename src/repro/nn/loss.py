@@ -46,12 +46,7 @@ class CrossEntropyLoss:
         exp = np.exp(shifted)
         denom = np.sum(exp, axis=1, keepdims=True)
         logp = shifted - np.log(denom)
-        # the loss reduction accumulates in float32 for 2-byte dtypes
-        # (float16/bfloat16); float32/float64 accumulate natively, which
-        # keeps those paths bit-identical to the seed
-        dt = logits.dtype
-        acc_dt = np.dtype(np.float32) if dt.itemsize <= 2 else dt
-        loss = float(-(y * logp).sum(dtype=acc_dt) / n)
+        loss = float(-(y * logp).sum() / n)
         self._cache = (exp / denom, y, n)
         return loss
 

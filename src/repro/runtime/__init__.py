@@ -22,12 +22,16 @@ independent of execution order, and the server compresses/aggregates the
 returned deltas in the same deterministic order regardless of backend.
 
 ``dtype`` — *in what precision* the whole run executes: ``"float64"``
-(default, the seed behavior) or ``"float32"``.  The policy is threaded
+(default, the seed behavior) or ``"float32"``, on plain numpy
+allocation.  The policy is threaded
 through model construction (every ``Conv2d``/``Linear``/norm layer),
 :class:`~repro.nn.flat.FlatParamView`, local training (inputs are cast once
 per batch), the compression strategies and the aggregation path, so a
 float32 run never silently up-casts back to float64 in the hot loop.
 On memory-bandwidth-bound numpy kernels this alone is a ~1.5–2× speedup.
+
+With ``RunConfig.sanitize`` (or ``REPRO_SANITIZE=1``) the process
+backend's zero-copy result ring is guarded by :mod:`repro.runtime.sanitize`.
 """
 
 from repro.runtime.backends import (

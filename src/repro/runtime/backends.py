@@ -42,9 +42,8 @@ from repro.runtime import sanitize as _sanitize
 from repro.utils.rng import RngFactory
 
 # LocalTrainer is imported lazily inside build_trainer(): repro.fl pulls in
-# this module through repro.fl.server, and compression/nn modules reach the
-# scratch arena through repro.runtime's package init, so a module-level
-# import here would close an import cycle
+# this module through repro.fl.server, so a module-level import here would
+# close an import cycle
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.client import LocalTrainer
 
@@ -158,19 +157,14 @@ class WorkerSpec:
     dtype: str = "float64"
     d: int = 0
     num_buffer: int = 0
-    #: recycle per-step scratch through each trainer's private BufferArena
-    use_arena: bool = True
-    #: runtime ownership sanitizer (repro.runtime.sanitize): guard arena
-    #: scratch and the process backend's result ring; False still honors
-    #: the REPRO_SANITIZE environment gate downstream
+    #: runtime ownership sanitizer (repro.runtime.sanitize): guard the
+    #: process backend's result ring; False still honors the
+    #: REPRO_SANITIZE environment gate
     sanitize: bool = False
     #: cap on results a parallel backend may have outstanding at once
     #: (sizes the process backend's zero-copy result rings); 0 = derive
     #: from the task count per call
     max_in_flight: int = 0
-    #: vectorize up to this many clients' local rounds through one batched
-    #: replica (thread backend only); 0 disables the batched path
-    batch_replicas: int = 0
 
     def build_trainer(self) -> Tuple[Module, "LocalTrainer"]:
         from repro.fl.client import LocalTrainer
@@ -191,10 +185,6 @@ class WorkerSpec:
             batch_size=self.batch_size,
             momentum=self.momentum,
             weight_decay=self.weight_decay,
-            use_arena=self.use_arena,
-            # None (not False) keeps the REPRO_SANITIZE env gate live when
-            # the config knob is off
-            sanitize=True if self.sanitize else None,
         )
         return model, trainer
 
@@ -294,16 +284,6 @@ class ThreadBackend(ExecutionBackend):
     Replicas are handed out through a queue, so at most ``workers`` clients
     train concurrently and no model instance is ever shared between two
     in-flight tasks.
-
-    When ``spec.batch_replicas > 1``, tasks with the same realized
-    ``(local_steps, lr)`` are grouped into chunks of up to that many clients
-    and each chunk trains vectorized through one
-    :class:`~repro.runtime.batched.BatchedReplicaTrainer` (a leading replica
-    axis over the whole layer stack).  Unsupported models fall back to the
-    per-client path at construction time; differing batch *sizes* within a
-    group are padded with masked rows, and only incompatible batch *shapes*
-    (heterogeneous sample features) fall back per group at run time.  Either
-    way results come back in task order.
     """
 
     name = "thread"
@@ -315,45 +295,9 @@ class ThreadBackend(ExecutionBackend):
         for _ in range(self.workers):
             _, trainer = spec.build_trainer()
             self._replicas.put(trainer)
-        self._batched: Optional["queue.SimpleQueue"] = None
-        self.batch_replicas = max(0, int(spec.batch_replicas or 0))
-        if self.batch_replicas > 1:
-            self._batched = self._build_batched_pool()
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-client"
         )
-
-    def _build_batched_pool(self) -> Optional["queue.SimpleQueue"]:
-        import warnings
-
-        from repro.nn.flat import FlatParamView
-        from repro.runtime.batched import (
-            BatchedReplicaTrainer,
-            UnsupportedModelError,
-        )
-
-        pool: "queue.SimpleQueue[BatchedReplicaTrainer]" = queue.SimpleQueue()
-        for i in range(self.workers):
-            model, _ = self.spec.build_trainer()
-            view = FlatParamView(model)
-            try:
-                pool.put(
-                    BatchedReplicaTrainer(
-                        model,
-                        view.num_trainable,
-                        view.num_buffer,
-                        use_arena=self.spec.use_arena,
-                    )
-                )
-            except UnsupportedModelError as exc:
-                warnings.warn(
-                    f"batch_replicas disabled: {exc}; falling back to "
-                    "per-client training",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return None
-        return pool
 
     def _run_task(
         self,
@@ -370,94 +314,17 @@ class ThreadBackend(ExecutionBackend):
         finally:
             self._replicas.put(trainer)
 
-    def _run_group(
-        self,
-        group: Sequence[ClientTask],
-        global_params: np.ndarray,
-        global_buffers: np.ndarray,
-    ) -> List[ClientResult]:
-        from repro.runtime.batched import RaggedBatchError
-
-        trainer = self._batched.get()
-        try:
-            outs = trainer.run_group(
-                group,
-                global_params,
-                global_buffers,
-                self.spec.clients,
-                self.rngs,
-                self.spec.batch_size,
-                self.spec.local_steps,
-                self.spec.momentum,
-                self.spec.weight_decay,
-            )
-        except RaggedBatchError:
-            # a client in the group yields short batches — the whole group
-            # retrains serially (RNG streams are per-call, so no state leaks)
-            return [
-                self._run_task(task, global_params, global_buffers)
-                for task in group
-            ]
-        finally:
-            self._batched.put(trainer)
-        return [
-            ClientResult(
-                client_id=task.client_id,
-                delta=delta,
-                buffer_delta=buffer_delta,
-                num_samples=num_samples,
-                mean_loss=mean_loss,
-            )
-            for task, (delta, buffer_delta, num_samples, mean_loss) in zip(
-                group, outs
-            )
-        ]
-
     def run_clients(
         self,
         tasks: Sequence[ClientTask],
         global_params: np.ndarray,
         global_buffers: np.ndarray,
     ) -> List[ClientResult]:
-        if self._batched is None:
-            futures = [
-                self._pool.submit(
-                    self._run_task, task, global_params, global_buffers
-                )
-                for task in tasks
-            ]
-            return [f.result() for f in futures]
-        # group by realized (steps, lr) — differing shard sizes are fine
-        # (the batched trainer pads ragged steps with masked rows) — then
-        # chunk each group to the replica cap, remembering task order
-        grouped: Dict[tuple, List[int]] = {}
-        for i, task in enumerate(tasks):
-            steps = (
-                task.local_steps
-                if task.local_steps is not None
-                else self.spec.local_steps
-            )
-            grouped.setdefault((steps, task.lr), []).append(i)
-        futures = []
-        for indices in grouped.values():
-            for start in range(0, len(indices), self.batch_replicas):
-                chunk = indices[start : start + self.batch_replicas]
-                futures.append(
-                    (
-                        chunk,
-                        self._pool.submit(
-                            self._run_group,
-                            [tasks[i] for i in chunk],
-                            global_params,
-                            global_buffers,
-                        ),
-                    )
-                )
-        results: List[Optional[ClientResult]] = [None] * len(tasks)
-        for chunk, future in futures:
-            for i, res in zip(chunk, future.result()):
-                results[i] = res
-        return results  # type: ignore[return-value]
+        futures = [
+            self._pool.submit(self._run_task, task, global_params, global_buffers)
+            for task in tasks
+        ]
+        return [f.result() for f in futures]
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -686,7 +553,6 @@ class ProcessBackend(ExecutionBackend):
                     tag = _sanitize.OwnershipTag(
                         host=self,
                         epoch=self._epoch,
-                        owner_thread=None,
                         label=f"result-ring slot {r.slot}",
                     )
                     delta = _sanitize.guard(delta, tag)

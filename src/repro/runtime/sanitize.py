@@ -1,29 +1,21 @@
-"""Runtime ownership/race sanitizer for the backend hot paths.
+"""Runtime ownership sanitizer for the process backend's result ring.
 
-The arena and the process backend's zero-copy result ring both rely on
-*epoch discipline* instead of per-buffer reference counting: every buffer
-handed out is implicitly reclaimed at a barrier (``BufferArena.reset``
-between local SGD steps; the ring-epoch bump at the next ``run_clients``
-dispatch), and the caller promises not to touch it afterwards.  That
-promise is cheap to break silently — a leaked scratch view or an
-un-``detach()``-ed ring result reads recycled memory and produces wrong
-numbers, not a crash.
+The process backend's zero-copy result ring relies on *epoch discipline*
+instead of per-buffer reference counting: every result slot handed back
+is implicitly reclaimed at the next ``run_clients`` dispatch (the ring
+epoch bumps), and the caller promises not to touch it afterwards.  That
+promise is cheap to break silently — an un-``detach()``-ed ring result
+reads the next round's deltas and produces wrong numbers, not a crash.
 
 This module makes the promise checkable.  With sanitize mode on
-(``RunConfig.sanitize=True`` or ``REPRO_SANITIZE=1`` in the environment):
-
-* every buffer a :class:`~repro.runtime.arena.BufferArena` hands out is
-  wrapped in a :class:`GuardedView` carrying an :class:`OwnershipTag`
-  (owning host, epoch at take time, owner thread), and every element
-  access / ufunc application re-validates the tag — touching scratch
-  after ``reset()`` or from a foreign thread raises
-  :class:`SanitizerError` at the faulting line;
-* the process backend stamps each result-ring slot with the dispatch
-  epoch that claimed it (:func:`checked_slot_claim` — a double claim
-  within one epoch raises in the worker) and wraps the parent-side ring
-  views in guards, so a previous dispatch's result touched after the
-  ring was reclaimed raises instead of silently reading the next
-  round's deltas.
+(``RunConfig.sanitize=True`` or ``REPRO_SANITIZE=1`` in the environment)
+the process backend stamps each result-ring slot with the dispatch epoch
+that claimed it (:func:`checked_slot_claim` — a double claim within one
+epoch raises in the worker) and wraps the parent-side ring views in
+:class:`GuardedView` wrappers carrying an :class:`OwnershipTag`; every
+element access / ufunc application re-validates the tag, so a previous
+dispatch's result touched after the ring was reclaimed raises
+:class:`SanitizerError` at the faulting line.
 
 Guards are *lifetime-scoped to the borrowed memory*: ``__array_finalize__``
 propagates the tag to views (``base is not None``) but drops it from
@@ -39,15 +31,15 @@ harness.
 >>> class Host:
 ...     sanitize_epoch = 0
 >>> host = Host()
->>> buf = guard(np.zeros(3), OwnershipTag(host, 0, None, "demo"))
+>>> buf = guard(np.zeros(3), OwnershipTag(host, 0, "demo"))
 >>> buf[0] = 1.0          # epoch matches: fine
 >>> host.sanitize_epoch += 1
 >>> buf[0]                # stale epoch: flagged
 Traceback (most recent call last):
     ...
 repro.runtime.sanitize.SanitizerError: demo: buffer taken in epoch 0 \
-touched in epoch 1 (use after reset/reclaim)
->>> buf2 = guard(np.zeros(3), OwnershipTag(host, 1, None, "demo"))
+touched in epoch 1 (use after reclaim)
+>>> buf2 = guard(np.zeros(3), OwnershipTag(host, 1, "demo"))
 >>> owned = buf2.copy()   # copies own their memory: guard dropped
 >>> host.sanitize_epoch += 1
 >>> float(owned[0])
@@ -57,7 +49,6 @@ touched in epoch 1 (use after reset/reclaim)
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -95,21 +86,16 @@ class OwnershipTag:
     ----------
     host:
         The lender — anything with a ``sanitize_epoch`` attribute that it
-        bumps when it reclaims outstanding buffers (the arena on
-        ``reset()``; the process backend on each dispatch).
+        bumps when it reclaims outstanding buffers (the process backend on
+        each dispatch).
     epoch:
         ``host.sanitize_epoch`` at hand-out time.
-    owner_thread:
-        ``threading.get_ident()`` of the borrower, or ``None`` to skip
-        the thread check (ring results are legally consumed by whichever
-        thread drains the dispatch).
     label:
         Human-readable buffer description for the error message.
     """
 
     host: Any
     epoch: int
-    owner_thread: Optional[int]
     label: str
 
     def check(self) -> None:
@@ -117,17 +103,7 @@ class OwnershipTag:
         if current != self.epoch:
             raise SanitizerError(
                 f"{self.label}: buffer taken in epoch {self.epoch} touched "
-                f"in epoch {current} (use after reset/reclaim)"
-            )
-        if (
-            self.owner_thread is not None
-            and threading.get_ident() != self.owner_thread
-        ):
-            raise SanitizerError(
-                f"{self.label}: buffer owned by thread {self.owner_thread} "
-                f"touched from thread {threading.get_ident()} (arenas are "
-                "private per trainer; cross-thread scratch sharing races "
-                "reset())"
+                f"in epoch {current} (use after reclaim)"
             )
 
 

@@ -113,8 +113,7 @@ class ShardingRuntime:
     def accumulator(self, dtype) -> np.ndarray:
         """A zeroed length-``d`` accumulator, recycled across calls.
 
-        Runtime-owned (never arena scratch, so nothing here can alias a
-        reset pool) and ``np.memmap``-backed when ``shard_mmap`` is on —
+        Runtime-owned and ``np.memmap``-backed when ``shard_mmap`` is on —
         the one d-sized temporary of a sharded aggregation then lives on
         disk.  Callers must finish with it before requesting the next
         accumulator of the same dtype.

@@ -49,6 +49,14 @@ def test_bits_validation(rng):
         stochastic_quantize(np.ones(3), 64)
     with pytest.raises(ValueError):
         quantized_values_bytes(10, 33)
+    # 1 bit would emit the ternary set {-s, 0, +s} while billing 1 bit/value
+    values = np.linspace(-1.0, 1.0, 101)
+    with pytest.raises(ValueError, match="ternary"):
+        uniform_quantize(values, 1)
+    with pytest.raises(ValueError, match="ternary"):
+        stochastic_quantize(values, 1, rng)
+    with pytest.raises(ValueError, match="ternary"):
+        quantized_values_bytes(101, 1)
 
 
 def test_empty_values():

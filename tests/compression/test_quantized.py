@@ -74,6 +74,8 @@ def test_quantized_stochastic_is_unbiased(rng):
 def test_quantized_validation():
     with pytest.raises(ValueError):
         QuantizedStrategy(FedAvgStrategy(), bits=0)
+    with pytest.raises(ValueError, match="ternary"):
+        QuantizedStrategy(FedAvgStrategy(), bits=1)
     with pytest.raises(ValueError):
         QuantizedStrategy(FedAvgStrategy(), bits=32)
 

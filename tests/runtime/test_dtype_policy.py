@@ -19,7 +19,9 @@ def test_resolve_dtype_spellings():
     assert resolve_dtype(np.dtype("float32")) == np.dtype(np.float32)
 
 
-@pytest.mark.parametrize("bad", ["int32", "complex128", "bool"])
+@pytest.mark.parametrize(
+    "bad", ["int32", "complex128", "bool", "float16", "bfloat16"]
+)
 def test_resolve_dtype_rejects_non_float(bad):
     with pytest.raises(ValueError, match="unsupported runtime dtype"):
         resolve_dtype(bad)
@@ -106,7 +108,9 @@ def test_float32_tracks_float64_on_quickstart_scale(tiny_dataset):
     assert [r.up_bytes for r in f32.records] == [r.up_bytes for r in f64.records]
 
 
-def test_invalid_dtype_rejected(tiny_dataset):
-    cfg = _config(tiny_dataset, "int32")
+@pytest.mark.parametrize("dtype", ["int32", "float16", "bfloat16"])
+def test_invalid_dtype_rejected(tiny_dataset, dtype):
+    # only float32/float64 train; 2-byte floats are rejected before round 0
+    cfg = _config(tiny_dataset, dtype)
     with pytest.raises(ValueError, match="dtype"):
         cfg.validate()
