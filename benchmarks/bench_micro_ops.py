@@ -2,7 +2,8 @@
 
 Not a paper artifact — these guard the performance of the primitives the
 simulation spends its time in, at paper-scale dimensions (d = 5M):
-top-k selection, staleness bookkeeping, sparse vs dense aggregation, the
+top-k selection (dense client shape and sparse server shape), the
+changed-coordinate union, staleness bookkeeping, sparse vs dense aggregation, the
 conv training step in both precisions, and round dispatch through the
 execution backends.  Unlike the experiment benches these use
 pytest-benchmark's normal repeated timing.
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.compression.base import ClientPayload, weighted_dense_sum
-from repro.compression.topk import top_k_indices
+from repro.compression.topk import index_union, top_k_indices
 from repro.datasets import femnist_like
 from repro.fl.staleness import StalenessTracker
 from repro.nn import Conv2d, CrossEntropyLoss, Sequential
@@ -32,6 +33,30 @@ def big_vector():
 def test_topk_5m(benchmark, big_vector):
     idx = benchmark(top_k_indices, big_vector, D // 10)
     assert len(idx) == D // 10
+
+
+@pytest.fixture(scope="module")
+def sparse_big_vector(big_vector):
+    """The server's end_round shape: a global delta that is 80% zeros."""
+    x = big_vector.copy()
+    x[np.random.default_rng(4).random(D) < 0.8] = 0.0
+    return x
+
+
+def test_topk_sparse_5m(benchmark, sparse_big_vector):
+    """Mask shift over a 20%-nonzero delta, k = 16% of D (sparse path)."""
+    k = int(0.16 * D)
+    idx = benchmark(top_k_indices, sparse_big_vector, k)
+    assert len(idx) == k
+
+
+def test_index_union_5m(benchmark):
+    """mask ∪ kept at D = 5M: a 10% mask plus a 6% keep overlapping it."""
+    rng = np.random.default_rng(5)
+    mask = np.sort(rng.choice(D, size=D // 10, replace=False))
+    keep = np.sort(rng.choice(D, size=6 * D // 100, replace=False))
+    changed = benchmark(index_union, mask, keep, D)
+    assert len(changed) == len(np.union1d(mask, keep))
 
 
 def test_staleness_bookkeeping_5m(benchmark):

@@ -122,8 +122,8 @@ class ResidualStore:
                     f"client {client_id}"
                 )
             scale = entry[1] / current_weight
-            return delta + scale * h.astype(delta.dtype)
-        return delta + h.astype(delta.dtype)
+            return delta + scale * h.astype(delta.dtype, copy=False)
+        return delta + h.astype(delta.dtype, copy=False)
 
     def record(
         self, client_id: int, residual: np.ndarray, weight: float

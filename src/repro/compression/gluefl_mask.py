@@ -38,7 +38,12 @@ from repro.compression.base import (
     weighted_dense_sum,
 )
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
-from repro.compression.topk import ratio_to_k, select_top_k, top_k_indices
+from repro.compression.topk import (
+    index_union,
+    ratio_to_k,
+    select_top_k,
+    top_k_indices,
+)
 from repro.network.encoding import bitmap_bytes, sparse_bytes, values_bytes
 
 __all__ = ["GlueFLMaskStrategy"]
@@ -206,7 +211,7 @@ class GlueFLMaskStrategy(CompressionStrategy):
             global_delta[mask] = shr_acc
         global_delta[keep] += uni_acc[keep]
 
-        changed = np.union1d(mask, keep).astype(np.int64)
+        changed = index_union(mask, keep, self.d)
         return AggregateResult(global_delta=global_delta, changed_idx=changed)
 
     def end_round(self, agg: AggregateResult, round_idx: int) -> None:

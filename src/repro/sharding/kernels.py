@@ -14,9 +14,10 @@ Three families of kernel cover the whole GlueFL server hot path:
   than ``k`` coordinates anywhere, in particular inside its own shard, so
   the union of per-shard top-``min(k, |shard|)`` candidates is a superset
   of the answer; one ``argpartition`` over the (tiny) candidate
-  magnitudes finishes the job.  Ties at the k-th magnitude are broken
-  arbitrarily — exactly the contract ``np.argpartition`` already has in
-  the unsharded :func:`~repro.compression.topk.top_k_indices`.
+  magnitudes finishes the job.  When the top-k set is unique (untied
+  k-th magnitude) it is exactly the unsharded
+  :func:`~repro.compression.topk.top_k_indices` set; a tie resolves to
+  some valid top-k set in the merge's own partition order.
 
 Every function here is a module-level pure function of its arguments so
 the ``process`` shard backend can ship it through a fork pool unchanged.

@@ -232,7 +232,7 @@ class ShardingRuntime:
         Same contract as :func:`~repro.compression.topk.top_k_indices`
         (sorted ascending, all of ``[0, d)`` when ``k >= d``, empty when
         ``k <= 0``); identical index set whenever the k-th magnitude is
-        untied — the same arbitrary-tie contract ``argpartition`` has.
+        untied, and some valid top-k set at a tie.
         """
         if k <= 0:
             return np.empty(0, dtype=np.int64)

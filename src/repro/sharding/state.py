@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
+from repro.compression.topk import index_union
 from repro.sharding.executor import ShardExecutor
 from repro.sharding.kernels import merge_top_candidates
 from repro.sharding.partition import ShardSpec
@@ -242,7 +243,7 @@ class ShardedServerState:
         # sparse global delta: mask positions take shr_acc, kept unique
         # positions add their aggregate (the dense formulation's
         # ``delta[mask] = shr; delta[keep] += uni[keep]``)
-        changed = np.union1d(mask, keep).astype(np.int64, copy=False)
+        changed = index_union(mask, keep, self.d)
         changed_vals = np.zeros(len(changed), dtype=self.dtype)
         if len(mask):
             changed_vals[np.searchsorted(changed, mask)] = shr_acc

@@ -218,3 +218,34 @@ def test_client_compress_does_not_mutate_caller_delta(rng):
     original = delta.copy()
     s.client_compress(0, delta, 1.0)
     np.testing.assert_array_equal(delta, original)
+
+
+def test_aggregate_changed_idx_when_keep_overlaps_mask():
+    """k_uni above the nonzeros outside the mask: keep takes mask positions.
+
+    A round whose deltas live on the mask alone leaves the unique-part
+    aggregate all zeros, so the top-k_uni pick lands partly on (zeroed)
+    mask coordinates; changed_idx is still the sorted set union.
+    """
+    d = 40
+    s = make(d=d, q=0.9, q_shr=0.5)
+    first = np.zeros(d)
+    first[-20:] = np.arange(1.0, 21.0)  # next mask: the last 20 coordinates
+    run_round(s, 1, [first])
+    mask = s.mask_idx.copy()
+    np.testing.assert_array_equal(mask, np.arange(20, 40))
+
+    s.begin_round(2)
+    delta = np.zeros(d)
+    delta[mask] = 1.0
+    payloads = [(0, 1.0, s.client_compress(0, delta, 1.0))]
+    agg = s.aggregate(payloads)
+
+    from repro.compression.topk import top_k_indices
+
+    uni = np.zeros(d)
+    np.add.at(uni, payloads[0][2].data["idx"], payloads[0][2].data["vals"])
+    keep = top_k_indices(uni, s._k_unique())
+    assert len(np.intersect1d(mask, keep)) > 0  # the case under test
+    np.testing.assert_array_equal(agg.changed_idx, np.union1d(mask, keep))
+    assert agg.changed_idx.dtype == np.int64
