@@ -55,7 +55,7 @@ def test_index_union_5m(benchmark):
     rng = np.random.default_rng(5)
     mask = np.sort(rng.choice(D, size=D // 10, replace=False))
     keep = np.sort(rng.choice(D, size=6 * D // 100, replace=False))
-    changed = benchmark(index_union, mask, keep, D)
+    changed = benchmark(index_union, mask, keep)
     assert len(changed) == len(np.union1d(mask, keep))
 
 

@@ -211,7 +211,7 @@ class GlueFLMaskStrategy(CompressionStrategy):
             global_delta[mask] = shr_acc
         global_delta[keep] += uni_acc[keep]
 
-        changed = index_union(mask, keep, self.d)
+        changed = index_union(mask, keep)
         return AggregateResult(global_delta=global_delta, changed_idx=changed)
 
     def end_round(self, agg: AggregateResult, round_idx: int) -> None:

@@ -17,8 +17,8 @@ number, as numpy sorts it) included.  Two paths give that answer in O(d):
   magnitude, at least ``k`` NaNs) runs ``argpartition`` + ``sort``, so
   ties keep numpy's partition order.
 
-:func:`index_union` is the one place two index sets over ``[0, d)`` are
-merged into a sorted union (the round's changed coordinates, mask ∪ kept).
+:func:`index_union` is the one place two sorted index sets are merged into
+a sorted union (the round's changed coordinates, mask ∪ kept).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
 
 #: same-width unsigned views: a float magnitude is zero iff its bits are
 #: (``abs`` clears the sign bit of ``-0.0``), and an integer count is faster
-_UINT_VIEW = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+_UINT_VIEW = {4: np.uint32, 8: np.uint64}
 
 
 def ratio_to_k(ratio: float, d: int) -> int:
@@ -84,23 +84,23 @@ def top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
     return np.sort(idx).astype(np.int64)
 
 
-def index_union(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """Sorted, duplicate-free int64 union of two index sets over ``[0, d)``.
+def index_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted, duplicate-free int64 union of two index sets.
 
-    Same array as ``np.union1d(a, b)``.  When the sets hold at least
-    ``d // 512`` indices (the GlueFL round: mask plus kept unique
-    coordinates is a fixed fraction of d) it flags a length-``d`` boolean
-    and reads it back with ``flatnonzero`` — linear in d, where
-    ``union1d``'s unique pass is superlinear in the set size.  Below that
-    (the out-of-core state's k ≪ d) ``union1d`` is the faster of the two,
-    measured at d = 5M and 50M, and allocates nothing length-``d``.
+    Same array as ``np.union1d(a, b)``.  Both callers pass sorted sets
+    (the mask and the kept coordinates come out of top-k selection), so
+    the stable sort of their concatenation is one timsort merge of two
+    runs, and dropping adjacent repeats finishes it — linear in the set
+    sizes, with nothing allocated over the whole model.
     """
-    if len(a) + len(b) < d // 512:
-        return np.union1d(a, b).astype(np.int64, copy=False)
-    flags = np.zeros(d, dtype=bool)
-    flags[a] = True
-    flags[b] = True
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    c = np.concatenate((a, b)).astype(np.int64, copy=False)
+    c.sort(kind="stable")
+    if len(c) < 2:
+        return c
+    first = np.empty(len(c), dtype=bool)
+    first[0] = True
+    np.not_equal(c[1:], c[:-1], out=first[1:])
+    return c[first]
 
 
 def select_top_k(x: np.ndarray, k: int, sharding=None) -> np.ndarray:

@@ -243,7 +243,7 @@ class ShardedServerState:
         # sparse global delta: mask positions take shr_acc, kept unique
         # positions add their aggregate (the dense formulation's
         # ``delta[mask] = shr; delta[keep] += uni[keep]``)
-        changed = index_union(mask, keep, self.d)
+        changed = index_union(mask, keep)
         changed_vals = np.zeros(len(changed), dtype=self.dtype)
         if len(mask):
             changed_vals[np.searchsorted(changed, mask)] = shr_acc

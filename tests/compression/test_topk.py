@@ -155,16 +155,18 @@ def test_sparse_support_skips_the_full_argpartition(monkeypatch):
 # -- index_union == np.union1d --------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [64, 100_000], ids=["flags", "union1d"])
-def test_index_union_matches_union1d(d):
-    rng = np.random.default_rng(d)
-    n = 24 if d == 64 else 40  # 80 indices < 100k // 512: the union1d branch
-    a = np.sort(rng.choice(d, size=n, replace=False)).astype(np.int64)
-    b = np.sort(rng.choice(d, size=n, replace=False)).astype(np.int64)
-    overlap = np.concatenate([b[: n // 2], a[: n // 2]])  # shares positions
+def test_index_union_matches_union1d():
     empty = np.empty(0, dtype=np.int64)
-    for left, right in [(a, b), (a, overlap), (empty, b), (a, empty),
-                        (empty, empty), (a, a)]:
-        got = index_union(left, right, d)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, np.union1d(left, right))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(50, 5_000))
+        a = np.sort(rng.choice(d, size=d // 5, replace=False)).astype(np.int64)
+        b = np.sort(rng.choice(d, size=d // 7, replace=False)).astype(np.int64)
+        # keep can land on mask positions (k_uni above the nonzeros outside
+        # the mask), so the two sets may share indices
+        overlap = np.union1d(b[: len(b) // 2], a[: len(a) // 2])
+        for left, right in [(a, b), (a, overlap), (empty, b), (a, empty),
+                            (empty, empty), (a, a), (a[:1], empty)]:
+            got = index_union(left, right)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, np.union1d(left, right))
