@@ -7,7 +7,8 @@ hoists that into one place: a monotone *now* plus an event queue keyed on
 completion times, with deterministic FIFO ordering for ties.  Schedulers
 advance the clock (``advance_by`` / ``advance_to``) or push future
 completion events (``schedule`` / ``schedule_timings``) and drain them
-(``pop`` / ``pop_until``); the cumulative simulated time lands in every
+(``pop`` / ``pop_until``; ``upcoming`` looks ahead without popping); the
+cumulative simulated time lands in every
 :class:`~repro.fl.metrics.RoundRecord` as ``wall_clock_s``, so
 time-to-accuracy is comparable across round shapes.
 
@@ -123,6 +124,21 @@ class SimClock:
             return None
         time_s, _, payload = self._heap[0]
         return time_s, payload
+
+    def upcoming(self, n: int) -> List[Tuple[float, Any]]:
+        """The next ``n`` ``(time, payload)`` events in pop order, without
+        popping them (fewer when fewer are queued).
+
+        >>> clock = SimClock()
+        >>> for t, p in ((3.0, "c"), (1.0, "a"), (1.0, "b")):
+        ...     _ = clock.schedule(t, p)
+        >>> clock.upcoming(2), len(clock)
+        ([(1.0, 'a'), (1.0, 'b')], 3)
+        """
+        return [
+            (time_s, payload)
+            for time_s, _, payload in heapq.nsmallest(n, self._heap)
+        ]
 
     def pop(self) -> Tuple[float, Any]:
         """Pop the earliest event and advance *now* to its time."""

@@ -34,11 +34,17 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     default; norm-proportional for
     :class:`~repro.fl.extra_samplers.OptimalClientSampler`).  Arrivals
     tied at the same finish time from the same dispatch snapshot drain as
-    *one* backend batch, so thread/process backends parallelize them;
-    every ``begin_round`` is paired with ``end_round`` or — when a flush
-    comes up empty — ``abort_round``, keeping stateful mask schedules
-    honest.  The record stream is pinned by
-    ``tests/engine/golden_async.json``.
+    *one* backend batch.  On a backend with more than one worker the
+    scheduler also trains *ahead*: a call for popped arrivals is filled
+    up to a whole number of worker waves with queued jobs of the same
+    snapshot, each trained for the flush it is predicted to land in.  A
+    client's result depends only on its id, learning rate, flush index,
+    dispatch snapshot and data, so a look-ahead result is used exactly
+    when its job pops in the predicted flush and is retrained otherwise —
+    records are bit-identical to one-at-a-time training.  Every
+    ``begin_round`` is paired with ``end_round`` or — when a flush comes
+    up empty — ``abort_round``, keeping stateful mask schedules honest.
+    The record stream is pinned by ``tests/engine/golden_async.json``.
 
 ``failure``
     The sync pipeline over a fault-injecting device population: the server
@@ -115,7 +121,7 @@ from repro.fl.aggregation import staleness_discounted_weights
 from repro.fl.metrics import RoundRecord
 from repro.fl.samplers import SampleDraw
 from repro.fl.simulator import select_participants
-from repro.runtime.backends import ClientTask
+from repro.runtime.backends import ClientResult, ClientTask
 
 __all__ = [
     "SCHEDULERS",
@@ -282,6 +288,10 @@ class AsyncBufferedScheduler(Scheduler):
     def __init__(self) -> None:
         super().__init__()
         self._in_flight: Dict[int, _InFlightJob] = {}
+        #: look-ahead results: client id -> (job, predicted flush, result)
+        self._ahead: Dict[int, Tuple[_InFlightJob, int, ClientResult]] = {}
+        #: look-ahead results thrown away unused (wrong flush or dropped job)
+        self.speculation_discards = 0
         self._last_flush = 0.0
         self._round_closed = False
         # accounting accumulated between flushes
@@ -361,9 +371,8 @@ class AsyncBufferedScheduler(Scheduler):
 
         Events with *equal* finish times and the same dispatch snapshot
         version trained from identical global state, so they form one
-        batch for ``run_clients`` — this is what lets thread/process
-        backends parallelize simultaneous arrivals instead of receiving
-        one task per call.  Mid-round dropouts are drawn per client in pop
+        batch for ``run_clients`` (which :meth:`_train` may widen with
+        look-ahead jobs).  Mid-round dropouts are drawn per client in pop
         order (same RNG stream as draining one by one).
         """
         jobs: List[_InFlightJob] = []
@@ -383,12 +392,95 @@ class AsyncBufferedScheduler(Scheduler):
                 jobs.append(job)
                 if population is not None:
                     population.complete_work(np.array([cid], dtype=np.int64))
-            elif population is not None:
-                # lost mid-flight: sit out the dropped cooldown
-                population.drop_work(
-                    np.array([cid], dtype=np.int64), server.round_idx
-                )
+            else:
+                self._discard(cid)
+                if population is not None:
+                    # lost mid-flight: sit out the dropped cooldown
+                    population.drop_work(
+                        np.array([cid], dtype=np.int64), server.round_idx
+                    )
         return jobs
+
+    # -- training, with look-ahead ------------------------------------------------
+    def _discard(self, cid: int) -> None:
+        if self._ahead.pop(cid, None) is not None:
+            self.speculation_discards += 1
+
+    def _ahead_result(
+        self, job: _InFlightJob, flush: int
+    ) -> Optional[ClientResult]:
+        """The look-ahead result trained for ``job`` in ``flush``, if any."""
+        entry = self._ahead.get(job.client_id)
+        if entry is not None and entry[0] is job and entry[1] == flush:
+            return entry[2]
+        return None
+
+    def _take_ahead(
+        self, job: _InFlightJob, flush: int
+    ) -> Optional[ClientResult]:
+        """Spend ``job``'s look-ahead entry: its result when trained for
+        ``flush``, else ``None`` (a wrong guess, discarded)."""
+        result = self._ahead_result(job, flush)
+        if result is None:
+            self._discard(job.client_id)
+        else:
+            del self._ahead[job.client_id]
+        return result
+
+    def _look_ahead(
+        self, snapshot: np.ndarray, position: int, t: int, want: int
+    ) -> List[Tuple[_InFlightJob, int]]:
+        """Up to ``want`` queued jobs dispatched from ``snapshot``, as
+        ``(job, predicted flush)`` in pop order, within flushes ``t`` and
+        ``t + 1``.  The ``i``-th upcoming event is predicted to be arrival
+        ``position + i`` of flush ``t`` (0-based); jobs already holding a
+        result for their predicted flush are skipped."""
+        picks: List[Tuple[_InFlightJob, int]] = []
+        if want <= 0:
+            return picks
+        horizon = 2 * self.buffer_size - position
+        for i, (_, cid) in enumerate(self.clock.upcoming(horizon)):
+            job = self._in_flight[cid]
+            flush = t + (position + i) // self.buffer_size
+            if job.params is snapshot and self._ahead_result(job, flush) is None:
+                picks.append((job, flush))
+                if len(picks) == want:
+                    break
+        return picks
+
+    def _train(
+        self, server, t: int, batch: List[_InFlightJob], position: int
+    ) -> List[ClientResult]:
+        """Results for a popped ``batch`` arriving in flush ``t`` after
+        ``position`` earlier arrivals (see the module docs for the
+        look-ahead and why reusing its results is exact)."""
+        results = [self._take_ahead(job, t) for job in batch]
+        need = [job for job, res in zip(batch, results) if res is None]
+        if not need:
+            return results
+        # one worker: nothing to fill, so serial training is unchanged
+        fill = -len(need) % server.backend.workers
+        ahead = self._look_ahead(need[0].params, position + len(batch), t, fill)
+        train = [(job, t) for job in need] + ahead
+        tasks = [
+            ClientTask(client_id=job.client_id, lr=job.lr, round_idx=flush)
+            for job, flush in train
+        ]
+        # same snapshot ⇒ same dispatch-time global arrays.  Results
+        # outlive this call (the buffer spans the flush, look-ahead
+        # results span flushes), so results borrowed from the process
+        # backend's ring are copied out before the next call reclaims them
+        out = [
+            res.detach()
+            for res in server.backend.run_clients(
+                tasks, need[0].params, need[0].buffers
+            )
+        ]
+        for (job, flush), res in zip(ahead, out[len(need):]):
+            self._discard(job.client_id)
+            self._ahead[job.client_id] = (job, flush, res)
+        fresh = iter(out)
+        return [res if res is not None else next(fresh) for res in results]
 
     # -- one buffer flush --------------------------------------------------------
     def run_round(self, server) -> RoundRecord:
@@ -406,6 +498,10 @@ class AsyncBufferedScheduler(Scheduler):
             if not self._round_closed:
                 server.strategy.abort_round(t)
             raise
+        finally:
+            # look-ahead results predicted for this flush are now unusable
+            for cid in [c for c, e in self._ahead.items() if e[1] <= t]:
+                self._discard(cid)
 
     def _run_flush(self, server, t: int) -> RoundRecord:
         cfg = server.config
@@ -417,18 +513,8 @@ class AsyncBufferedScheduler(Scheduler):
             if not batch:
                 self._dispatch(server, t)  # lost mid-round; refill and move on
                 continue
-            tasks = [
-                ClientTask(client_id=job.client_id, lr=job.lr, round_idx=t)
-                for job in batch
-            ]
-            # same snapshot version ⇒ same dispatch-time global arrays
-            results = server.backend.run_clients(
-                tasks, batch[0].params, batch[0].buffers
-            )
-            # the buffer outlives later run_clients calls in this flush, so
-            # results borrowed from the process backend's ring must be
-            # copied out before the next dispatch reclaims their slots
-            arrivals.extend((job, res.detach()) for job, res in zip(batch, results))
+            results = self._train(server, t, batch, len(arrivals))
+            arrivals.extend(zip(batch, results))
             self._dispatch(server, t)
 
         if not arrivals:

@@ -32,7 +32,6 @@ state ever survives on the server.
 from __future__ import annotations
 
 import math
-import os
 from typing import Tuple
 
 import numpy as np
@@ -46,7 +45,7 @@ from repro.network.profiles import get_profile
 from repro.network.transfer import ClientLinks
 from repro.nn.flat import FlatParamView
 from repro.nn.models import build_model
-from repro.runtime.backends import WorkerSpec, create_backend
+from repro.runtime.backends import WorkerSpec, available_cpus, create_backend
 from repro.runtime.dtype import resolve_dtype
 from repro.traces.availability import AvailabilityTrace, always_available
 from repro.traces.compute import ComputeTrace
@@ -350,7 +349,7 @@ class FLServer:
             workers = self.config.backend_workers
             if workers is None:
                 # at most K clients run per round — never pool wider
-                workers = min(self.sampler.k, os.cpu_count() or 1)
+                workers = min(self.sampler.k, available_cpus())
             self._backend = create_backend(
                 self.config.execution_backend,
                 self._worker_spec,

@@ -43,6 +43,7 @@ from repro.runtime.backends import (
     SerialBackend,
     ThreadBackend,
     WorkerSpec,
+    available_cpus,
     create_backend,
 )
 from repro.runtime.dtype import DTYPE_NAMES, cast_model_dtype, resolve_dtype
@@ -56,6 +57,7 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "WorkerSpec",
+    "available_cpus",
     "create_backend",
     "DTYPE_NAMES",
     "cast_model_dtype",

@@ -56,11 +56,24 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "available_cpus",
     "create_backend",
     "require_fork",
 ]
 
 BACKENDS = ("serial", "thread", "process")
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask where
+    the platform exposes one, else ``os.cpu_count()``.
+
+    The default worker count of every pool in the repo — so a container
+    pinned to 2 of a host's 64 CPUs builds 2 workers, not 64.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def require_fork(feature: str) -> None:
@@ -224,6 +237,8 @@ class ExecutionBackend:
     """Base class: lifecycle + the per-round dispatch hook."""
 
     name: str = "base"
+    #: clients that train concurrently; schedulers size batches by it
+    workers: int = 1
 
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
@@ -290,7 +305,7 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, spec: WorkerSpec, workers: Optional[int] = None):
         super().__init__(spec)
-        self.workers = max(1, workers or os.cpu_count() or 1)
+        self.workers = max(1, workers or available_cpus())
         self._replicas: "queue.SimpleQueue[LocalTrainer]" = queue.SimpleQueue()
         for _ in range(self.workers):
             _, trainer = spec.build_trainer()
@@ -451,7 +466,7 @@ class ProcessBackend(ExecutionBackend):
         require_fork("execution_backend='process'")
         from multiprocessing import shared_memory
 
-        self.workers = max(1, workers or os.cpu_count() or 1)
+        self.workers = max(1, workers or available_cpus())
         dt = resolve_dtype(spec.dtype)
         self._dtype = dt
         stride = spec.d + spec.num_buffer

@@ -13,8 +13,8 @@ the process backend stamps each result-ring slot with the dispatch epoch
 that claimed it (:func:`checked_slot_claim` — a double claim within one
 epoch raises in the worker) and wraps the parent-side ring views in
 :class:`GuardedView` wrappers carrying an :class:`OwnershipTag`; every
-element access / ufunc application re-validates the tag, so a previous
-dispatch's result touched after the ring was reclaimed raises
+element access / ufunc application / copy re-validates the tag, so a
+previous dispatch's result touched after the ring was reclaimed raises
 :class:`SanitizerError` at the faulting line.
 
 Guards are *lifetime-scoped to the borrowed memory*: ``__array_finalize__``
@@ -144,6 +144,11 @@ class GuardedView(np.ndarray):
     def fill(self, value) -> None:
         self._check()
         super().fill(value)
+
+    def copy(self, order="C"):
+        # a copy reads the borrowed memory: a late detach() is a use too
+        self._check()
+        return super().copy(order)
 
     # -- ufunc protocol --------------------------------------------------------
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):

@@ -16,11 +16,10 @@ no kernel reads anything another shard writes.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.runtime.backends import require_fork
+from repro.runtime.backends import available_cpus, require_fork
 
 __all__ = ["SHARD_BACKENDS", "ShardExecutor"]
 
@@ -50,7 +49,7 @@ class ShardExecutor:
         self._procs = None
 
     def _worker_count(self) -> int:
-        return max(1, self._workers or os.cpu_count() or 1)
+        return max(1, self._workers or available_cpus())
 
     def map(
         self, fn: Callable[..., Any], tasks: Sequence[Tuple[Any, ...]]

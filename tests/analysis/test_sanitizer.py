@@ -49,6 +49,16 @@ def test_views_stay_guarded_but_copies_escape():
     assert computed.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_copying_a_reclaimed_view_raises():
+    """A copy reads the borrowed memory: taking it after the reclaim (a
+    late ``detach()``) is a use after reclaim, not a legal escape."""
+    host = _Host()
+    buf = _guarded(host)
+    host.sanitize_epoch += 1
+    with pytest.raises(SanitizerError):
+        buf.copy()
+
+
 def test_inplace_ops_keep_the_guard():
     host = _Host()
     buf = _guarded(host)

@@ -7,6 +7,8 @@ digest, every float stored as ``float.hex()`` so the comparison is
 bit-exact.  Captured after the arrival-batching fix (equal-finish events
 drained as one backend call) so that fix — and any future edit to the
 event queue, dispatch RNG order, or staleness discounting — is pinned.
+The same fixture pins the serial, thread and process backends: the
+parallel ones train upcoming arrivals ahead of their pop.
 
 Regenerate (only when the async semantics intentionally change) with::
 
@@ -26,6 +28,7 @@ from repro.compression import FedAvgStrategy, STCStrategy
 from repro.core import make_gluefl
 from repro.datasets import femnist_like
 from repro.fl import FLServer, RunConfig, UniformSampler
+from repro.runtime.backends import require_fork
 
 GOLDEN_PATH = Path(__file__).parent / "golden_async.json"
 
@@ -79,15 +82,16 @@ def _base(dataset, strategy, sampler, **overrides):
     return RunConfig(**params)
 
 
-def golden_configs():
+def golden_configs(**overrides):
     """The pinned async workloads.  Rebuilt per call: strategies are stateful."""
     dataset = _dataset()
     return {
-        "fedavg": _base(dataset, FedAvgStrategy(), UniformSampler(5)),
-        "stc": _base(dataset, STCStrategy(q=0.2), UniformSampler(5)),
+        "fedavg": _base(dataset, FedAvgStrategy(), UniformSampler(5), **overrides),
+        "stc": _base(dataset, STCStrategy(q=0.2), UniformSampler(5), **overrides),
         "gluefl": _base(
             dataset,
             *make_gluefl(5, group_size=20, sticky_count=4, q=0.2, q_shr=0.16),
+            **overrides,
         ),
     }
 
@@ -120,8 +124,19 @@ def golden():
 
 
 @pytest.mark.parametrize("name", ["fedavg", "stc", "gluefl"])
-def test_async_scheduler_matches_golden(name, golden):
-    got = capture(golden_configs()[name])
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_async_scheduler_matches_golden(backend, name, golden):
+    """One golden for every backend: two workers train arrivals ahead of
+    their pop, and that look-ahead must not change a single bit."""
+    if backend == "process":
+        try:
+            require_fork("the process-backend golden")
+        except RuntimeError as exc:
+            pytest.skip(str(exc))
+    overrides = {}
+    if backend != "serial":
+        overrides = dict(execution_backend=backend, backend_workers=2)
+    got = capture(golden_configs(**overrides)[name])
     want = golden[name]
     assert len(got["records"]) == len(want["records"])
     for i, (g, w) in enumerate(zip(got["records"], want["records"])):

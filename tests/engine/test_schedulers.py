@@ -1,6 +1,8 @@
 """Behavioral tests for the async/buffered and failure-injection schedulers,
 plus the RoundEngine hook machinery and empty-round survival."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -466,6 +468,7 @@ class RecordingBackend:
 
     def __init__(self, inner):
         self.inner = inner
+        self.workers = inner.workers
         self.batch_sizes = []
 
     def run_clients(self, tasks, global_params, global_buffers):
@@ -507,6 +510,80 @@ def test_async_batches_simultaneous_arrivals(tiny_dataset):
     assert record.num_participants == 4
     # the whole buffer arrived simultaneously: one batched call, not 4×[1]
     assert max(recorder.batch_sizes) == 4
+
+
+def _stub_distinct_times(server):
+    """Per-client link and compute times: every finish time is distinct,
+    and a late dispatch with a short job overtakes earlier long ones."""
+    server.links.download_seconds_many = lambda ids, b: 0.1 + 0.01 * ids
+    server.links.upload_seconds_many = lambda ids, b: np.full(len(ids), 0.05)
+    server.compute.round_seconds_many = lambda ids, steps, scale: (
+        0.5 + (ids * 0.7919) % 3.0
+    )
+
+
+def test_async_look_ahead_batches_distinct_arrivals(tiny_dataset):
+    """With two workers, arrivals that do NOT tie still reach the backend
+    several per call: upcoming jobs are trained ahead of their pop."""
+    cfg = make_config(
+        tiny_dataset,
+        scheduler="async",
+        async_buffer_size=3,
+        async_concurrency=6,
+        always_available=True,
+        dropout_prob=0.0,
+        execution_backend="thread",
+        backend_workers=2,
+    )
+    server = FLServer(cfg)
+    _stub_distinct_times(server)
+    recorder = RecordingBackend(server.backend)
+    server._backend = recorder
+    finishes = []
+    pop = server.scheduler.clock.pop
+
+    def recording_pop():
+        event = pop()
+        finishes.append(event[0])
+        return event
+
+    server.scheduler.clock.pop = recording_pop
+    try:
+        for _ in range(4):
+            server.run_round()
+    finally:
+        server.close()
+    assert len(set(finishes)) == len(finishes)  # no ties to batch
+    assert max(recorder.batch_sizes) > 1
+
+
+def test_async_look_ahead_wrong_guesses_stay_exact(tiny_dataset):
+    """Dropouts and overtaking fresh dispatches make some look-ahead
+    guesses wrong (a job pops a flush later, or — when an earlier job
+    drops out — a flush early); those results are discarded and
+    retrained, so the run still equals serial training bit for bit."""
+    def run(backend, workers=None):
+        cfg = make_config(
+            tiny_dataset,
+            scheduler="async",
+            async_buffer_size=3,
+            async_concurrency=7,
+            rounds=12,
+            dropout_prob=0.2,
+            execution_backend=backend,
+            backend_workers=workers,
+        )
+        server = FLServer(cfg)
+        _stub_distinct_times(server)
+        result = server.run()
+        return server, [dataclasses.asdict(r) for r in result.records]
+
+    serial, serial_records = run("serial")
+    threaded, thread_records = run("thread", workers=2)
+    assert thread_records == serial_records
+    np.testing.assert_array_equal(threaded.global_params, serial.global_params)
+    assert serial.scheduler.speculation_discards == 0
+    assert threaded.scheduler.speculation_discards > 0
 
 
 def test_async_batching_preserves_serial_results(tiny_dataset):
@@ -622,6 +699,8 @@ def test_config_rejects_draw_only_samplers_under_async(tiny_dataset):
 
 class ExplodingBackend:
     """A backend whose dispatch always fails (simulated worker crash)."""
+
+    workers = 1
 
     def run_clients(self, tasks, global_params, global_buffers):
         raise OSError("worker pool died")

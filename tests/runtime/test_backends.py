@@ -151,3 +151,23 @@ def test_unknown_backend_rejected(tiny_dataset):
         create_backend("gpu", spec)
     with pytest.raises(ValueError, match="execution_backend"):
         _config(tiny_dataset, backend="gpu").validate()
+
+
+def test_default_workers_follow_the_affinity_mask(tiny_dataset, monkeypatch):
+    """A process pinned to 2 of 64 CPUs defaults to 2 workers, not 64."""
+    import os
+
+    from repro.runtime import available_cpus
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    assert available_cpus() == 2
+    backend = ThreadBackend(_spec(tiny_dataset))
+    try:
+        assert backend.workers == 2
+    finally:
+        backend.close()
+    assert SerialBackend(_spec(tiny_dataset)).workers == 1
+    # platforms without an affinity mask fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert available_cpus() == 64
