@@ -263,48 +263,14 @@ def main() -> None:
         help="print a per-phase timing breakdown of the e2e workload "
         "instead of running the full bench (writes nothing)",
     )
-    parser.add_argument(
-        "--sanitize-overhead",
-        action="store_true",
-        help="time the process-backend e2e workload with the runtime "
-        "sanitizer off vs on "
-        "and print the ratio (documented in docs/analysis.md, not gated; "
-        "writes nothing)",
-    )
     args = parser.parse_args()
 
-    # the published numbers must never be taxed by the debug sanitizer:
-    # RunConfig.sanitize defaults off, and the e2e subprocesses run with a
-    # scrubbed environment (no REPRO_SANITIZE passthrough, see e2e())
-    from repro.fl import RunConfig
-
-    assert (
-        RunConfig.__dataclass_fields__["sanitize"].default is False
-    ), "RunConfig.sanitize must default off — the bench numbers assume it"
     if args.seed_src and not (Path(args.seed_src) / "repro").is_dir():
         parser.error(
             f"--seed-src {args.seed_src!r} does not contain a repro/ package"
         )
 
     here = str(Path(__file__).resolve().parent.parent / "src")
-
-    if args.sanitize_overhead:
-        reps = max(1, args.repeats - 1)
-        timings = {}
-        # the sanitizer guards the process backend's result ring only, so
-        # the serial backend would time no checks at all
-        base = {"dtype": "float32", "execution_backend": "process"}
-        for label, extra in (
-            ("sanitize_off", base),
-            ("sanitize_on", {**base, "sanitize": True}),
-        ):
-            samples = [e2e(here, args.rounds, extra) for _ in range(reps)]
-            timings[label] = statistics.median(s["seconds"] for s in samples)
-        timings["overhead_ratio"] = round(
-            timings["sanitize_on"] / timings["sanitize_off"], 2
-        )
-        print(json.dumps(timings, indent=2))
-        return
 
     if args.profile:
         out = {

@@ -466,16 +466,8 @@ class AsyncBufferedScheduler(Scheduler):
             ClientTask(client_id=job.client_id, lr=job.lr, round_idx=flush)
             for job, flush in train
         ]
-        # same snapshot ⇒ same dispatch-time global arrays.  Results
-        # outlive this call (the buffer spans the flush, look-ahead
-        # results span flushes), so results borrowed from the process
-        # backend's ring are copied out before the next call reclaims them
-        out = [
-            res.detach()
-            for res in server.backend.run_clients(
-                tasks, need[0].params, need[0].buffers
-            )
-        ]
+        # same snapshot ⇒ same dispatch-time global arrays
+        out = server.backend.run_clients(tasks, need[0].params, need[0].buffers)
         for (job, flush), res in zip(ahead, out[len(need):]):
             self._discard(job.client_id)
             self._ahead[job.client_id] = (job, flush, res)
@@ -732,10 +724,8 @@ class SemiAsyncScheduler(Scheduler):
         )
         fast_results = results[: len(fast_ids)]
         for (cid, finish_s), result in zip(stragglers, results[len(fast_ids):]):
-            # straggler results are held across rounds — detach them from
-            # the process backend's result ring before it is reclaimed
             self.clock.schedule(
-                self.clock.now + finish_s, _StaleArrival(cid, t, result.detach())
+                self.clock.now + finish_s, _StaleArrival(cid, t, result)
             )
             self._busy.add(cid)
 

@@ -180,13 +180,6 @@ class RunConfig:
     execution_backend: str = "serial"  # "serial" | "thread" | "process"
     backend_workers: Optional[int] = None
     dtype: str = "float64"  # "float64" | "float32"
-    #: runtime sanitizer (see :mod:`repro.runtime.sanitize`): tag the
-    #: process backend's result-ring slots with claim/release epochs and
-    #: raise ``SanitizerError`` on a double slot claim or on a result
-    #: touched after the ring was reclaimed.  Debugging aid with
-    #: measurable overhead, so it defaults off; ``REPRO_SANITIZE=1`` in
-    #: the environment also enables it
-    sanitize: bool = False
 
     # sharded server state (repro.sharding)
     #: partition the server hot path into this many contiguous
@@ -388,7 +381,6 @@ class RunConfig:
             raise ValueError("seed must be an int")
         for flag in (
             "always_available",
-            "sanitize",
             "shard_mmap",
             "skip_empty_rounds",
             "stop_at_target",
@@ -456,6 +448,25 @@ class RunConfig:
             raise ValueError("mean_on_fraction must be in (0, 1]")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must be in [0, 1)")
+        if self.always_available:
+            # always_available bypasses the duty-cycle trace and zeroes the
+            # dropout, so a knob set beside it would be silently ignored
+            fields = type(self).__dataclass_fields__
+            ignored = [
+                name
+                for name, neutral in (
+                    ("dropout_prob", 0.0),
+                    ("mean_on_fraction", 1.0),
+                )
+                if getattr(self, name) not in (neutral, fields[name].default)
+            ]
+            if self.availability_trace is not None:
+                ignored.append("availability_trace")
+            if ignored:
+                raise ValueError(
+                    f"always_available=True ignores {', '.join(ignored)}; "
+                    "unset always_available or leave those at their defaults"
+                )
         if self.async_buffer_size <= 0:
             raise ValueError("async_buffer_size must be positive")
         if self.async_concurrency is not None and self.async_concurrency <= 0:

@@ -31,7 +31,6 @@ state ever survives on the server.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
@@ -193,13 +192,6 @@ class FLServer:
             dtype=config.dtype,
             d=self.d,
             num_buffer=self.view.num_buffer,
-            sanitize=config.sanitize,
-            # sizes the process backend's zero-copy result rings: the most
-            # results a scheduler can ask for before draining them
-            max_in_flight=max(
-                int(math.ceil(config.overcommit * config.sampler.k)),
-                config.async_concurrency or 0,
-            ),
         )
         self._backend = None
         self.lr_schedule = config.lr_schedule()

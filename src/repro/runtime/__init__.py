@@ -12,8 +12,8 @@ Two orthogonal knobs, both selected through
 * ``"process"`` — a fork-based process pool.  The frozen global
   parameters/buffers are shipped **once per round** through POSIX shared
   memory; each worker owns its own model replica and
-  :class:`~repro.fl.client.LocalTrainer`, and returns
-  ``(client_id, delta, buffer_delta, loss)``.
+  :class:`~repro.fl.client.LocalTrainer`, and returns a plain pickled
+  :class:`~repro.runtime.backends.ClientResult`.
 
 All three backends produce **bit-identical** training results for the same
 seed: each client's mini-batch stream comes from its own named RNG
@@ -29,9 +29,6 @@ through model construction (every ``Conv2d``/``Linear``/norm layer),
 per batch), the compression strategies and the aggregation path, so a
 float32 run never silently up-casts back to float64 in the hot loop.
 On memory-bandwidth-bound numpy kernels this alone is a ~1.5–2× speedup.
-
-With ``RunConfig.sanitize`` (or ``REPRO_SANITIZE=1``) the process
-backend's zero-copy result ring is guarded by :mod:`repro.runtime.sanitize`.
 """
 
 from repro.runtime.backends import (

@@ -48,7 +48,6 @@ DOCUMENTED_MODULES = (
     "repro.utils.client_state",
     "repro.datasets.lazy",
     "repro.analysis",
-    "repro.runtime.sanitize",
 )
 
 #: Example scripts whose module docstrings carry doctests.

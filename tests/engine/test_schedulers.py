@@ -626,6 +626,21 @@ def test_config_validates_availability_ranges(tiny_dataset):
     cfg = make_config(tiny_dataset, dropout_prob=-0.1)
     with pytest.raises(ValueError, match="dropout_prob"):
         cfg.validate()
+    # always_available zeroes the dropout and skips the duty-cycle trace,
+    # so a knob set beside it would be silently ignored
+    from repro.traces import always_available
+
+    for knob, value in (
+        ("dropout_prob", 0.2),
+        ("mean_on_fraction", 0.5),
+        ("availability_trace", always_available(tiny_dataset.num_clients)),
+    ):
+        cfg = make_config(tiny_dataset, always_available=True, **{knob: value})
+        with pytest.raises(ValueError, match=f"always_available=True ignores {knob}"):
+            cfg.validate()
+    make_config(
+        tiny_dataset, always_available=True, dropout_prob=0.0, mean_on_fraction=1.0
+    ).validate()
 
 
 def test_config_error_messages_track_canonical_tuples(tiny_dataset):

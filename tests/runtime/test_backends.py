@@ -105,10 +105,10 @@ def test_backend_bit_identical_with_cnn_buffers(tiny_dataset):
     assert _fingerprint(serial) == _fingerprint(proc)
 
 
-def _spec(tiny_dataset, dtype="float64"):
+def _spec(tiny_dataset, dtype="float64", model_name="mlp", model_kwargs=None):
     return WorkerSpec(
-        model_name="mlp",
-        model_kwargs={"hidden": (8,)},
+        model_name=model_name,
+        model_kwargs=model_kwargs or {"hidden": (8,)},
         in_channels=tiny_dataset.in_channels,
         num_classes=tiny_dataset.num_classes,
         image_size=tiny_dataset.image_size,
@@ -143,6 +143,33 @@ def test_backends_preserve_task_order(tiny_dataset):
     for a, b in zip(r_serial, r_thread):
         np.testing.assert_array_equal(a.delta, b.delta)
         assert a.mean_loss == b.mean_loss
+
+
+@pytest.mark.parametrize(
+    "backend,workers", [("serial", None), ("thread", 2), ("process", 2)]
+)
+def test_results_survive_the_next_dispatch(tiny_dataset, backend, workers):
+    """A result held across a later run_clients call (async arrivals,
+    semi-async stragglers) keeps its own deltas."""
+    spec = _spec(tiny_dataset, model_name="cnn", model_kwargs={"widths": (4,)})
+    model, _ = spec.build_trainer()
+    from repro.nn.flat import snapshot
+
+    params, buffers = snapshot(model)
+    spec.d, spec.num_buffer = len(params), len(buffers)
+    assert spec.num_buffer > 0
+
+    def tasks(cids):
+        return [ClientTask(client_id=c, lr=0.05, round_idx=1) for c in cids]
+
+    with create_backend(backend, spec, workers=workers) as runner:
+        first = runner.run_clients(tasks((1, 2)), params, buffers)
+        kept = [(r.delta.copy(), r.buffer_delta.copy()) for r in first]
+        second = runner.run_clients(tasks((3, 4)), params, buffers)
+        assert [r.client_id for r in second] == [3, 4]
+        for result, (delta, buffer_delta) in zip(first, kept):
+            np.testing.assert_array_equal(result.delta, delta)
+            np.testing.assert_array_equal(result.buffer_delta, buffer_delta)
 
 
 def test_unknown_backend_rejected(tiny_dataset):
